@@ -80,14 +80,13 @@ def test_batched_apply(benchmark, workload, gemm_plan):
     )
 
 
-@pytest.mark.parametrize("threads", [None, 4])
-def test_parallel_local_compute(benchmark, partition_q2, threads):
-    """Threaded vs serial phase 2 on the simulated q=2 machine."""
+def test_parallel_local_compute(benchmark, partition_q2):
+    """Phase 2 on the simulated q=2 machine."""
     n = 90
     tensor = random_symmetric(n, seed=2)
     x = np.random.default_rng(3).normal(size=n)
     machine = Machine(partition_q2.P)
-    algo = ParallelSTTSV(partition_q2, n, local_threads=threads)
+    algo = ParallelSTTSV(partition_q2, n)
     algo.load(machine, tensor, x)
     algo.run(machine)  # warm x_full/tensor_blocks state
 

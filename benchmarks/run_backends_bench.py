@@ -15,9 +15,11 @@ backends — the in-process ``simulated`` transport and the
 * a bitwise-equality check between the two backends' results,
 * fused-vs-unfused accounting: logical vs physical message counts,
   words moved (including fusion headers), the message-reduction
-  factor, and the shm wall-clock saved by fusing + overlapping
-  (each shm comparison runs with the fusing scheduler on and off;
-  fused results must stay bitwise identical to unfused ones).
+  factor, and the shm wall-clock saved by fusing (each shm comparison
+  runs with the fusing scheduler on and off; fused results must stay
+  bitwise identical to unfused ones). A fused run packs each exchange
+  phase into one physical exchange, so ``fusion_summary.fused_rounds``
+  is 2 per run for either variant.
 
 Writes ``BENCH_backends.json`` at the repository root so later PRs can
 track the transport overhead trajectory. ``--quick`` shrinks sizes and

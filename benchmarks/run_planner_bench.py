@@ -15,9 +15,12 @@ Two properties are pinned in the report:
   parallel candidates matches the measured ordering (Kendall-style
   pair agreement over candidate pairs whose measured times differ by
   more than jitter);
-* **decision flip** — with α artificially inflated the chosen variant
-  must move to All-to-All, with β inflated back to point-to-point
-  (the paper's tradeoff, exercised end to end through the planner).
+* **decision flip** — for a low-rank (``symk``) tensor, with α
+  artificially inflated the chosen variant must move to All-to-All,
+  with β inflated back to point-to-point (its point-to-point ring
+  never fuses, while All-to-All is one fused exchange). A dense tensor
+  must stay point-to-point under both: fused, its two variants both
+  cost one exchange per phase and point-to-point moves fewer words.
 
 Absolute prediction error is recorded but NOT gated: the simulated
 transport's per-round Python overhead is not part of the α-β-γ model,
@@ -43,6 +46,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.planner import (  # noqa: E402
     Calibration,
     TransportConstants,
+    auto_symk_config,
     calibrate,
     measure_candidate,
     plan_sttsv,
@@ -102,30 +106,38 @@ def bench_prediction(n: int, qs, repeats: int) -> dict:
     }
 
 
-def bench_decision_flip(n: int, q: int) -> dict:
+def bench_decision_flip(n: int, q: int, rank: int = 4) -> dict:
     """The α/β flip, priced end to end through the public planner."""
 
-    def chosen(alpha: float, beta: float) -> str:
+    def chosen(alpha: float, beta: float):
         calibration = Calibration(
             backends={"simulated": TransportConstants(alpha, beta)}
         )
         decision = plan_sttsv(
             n, qs=(q,), calibration=calibration, fusion_options=(True,)
         )
-        return decision.best_parallel.candidate.variant
+        P = decision.best_parallel.candidate.P
+        symk = auto_symk_config(n, rank, P, calibration=calibration)
+        return decision.best_parallel.candidate.variant, symk["variant"]
 
-    alpha_heavy = chosen(1e-2, 1e-9)
-    beta_heavy = chosen(1e-9, 1e-3)
+    dense_alpha, alpha_heavy = chosen(1e-2, 1e-9)
+    dense_beta, beta_heavy = chosen(1e-9, 1e-3)
     print(
-        f"decision flip at q={q}: alpha-heavy -> {alpha_heavy},"
-        f" beta-heavy -> {beta_heavy}"
+        f"decision flip at q={q}, symk rank {rank}: alpha-heavy ->"
+        f" {alpha_heavy}, beta-heavy -> {beta_heavy}; dense: {dense_alpha},"
+        f" {dense_beta}"
     )
     return {
         "q": q,
+        "rank": rank,
         "alpha_heavy_variant": alpha_heavy,
         "beta_heavy_variant": beta_heavy,
+        "dense_alpha_heavy_variant": dense_alpha,
+        "dense_beta_heavy_variant": dense_beta,
         "flips_correctly": (
-            alpha_heavy == "all-to-all" and beta_heavy == "point-to-point"
+            alpha_heavy == "all-to-all"
+            and beta_heavy == "point-to-point"
+            and dense_alpha == dense_beta == "point-to-point"
         ),
     }
 

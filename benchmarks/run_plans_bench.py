@@ -15,8 +15,7 @@ Measured comparisons (median of repeats, warmup excluded):
   calls (the acceptance target: >= 2x at n≈200, s=16);
 * ``hopm``: per-iteration sequential HOPM time, plan-backed vs the
   seed's ``np.add.at`` kernel;
-* ``local_compute``: threaded vs serial phase 2 of the simulated
-  parallel algorithm.
+* ``local_compute``: phase 2 of the simulated parallel algorithm.
 """
 
 from __future__ import annotations
@@ -116,34 +115,20 @@ def bench_hopm(n: int, iterations: int, repeats: int) -> dict:
     }
 
 
-def bench_local_compute(n: int, threads: int, repeats: int) -> dict:
+def bench_local_compute(n: int, repeats: int) -> dict:
     from repro.steiner import spherical_steiner_system
     from repro.core.partition import TetrahedralPartition
 
     partition = TetrahedralPartition(spherical_steiner_system(2))
     tensor = random_symmetric(n, seed=4)
     x = np.random.default_rng(5).normal(size=n)
-    timings = {}
-    results = {}
-    for label, workers in (("serial", None), ("threaded", threads)):
-        machine = Machine(partition.P)
-        algo = ParallelSTTSV(partition, n, local_threads=workers)
-        algo.load(machine, tensor, x)
-        algo.run(machine)
-        timings[label] = median_seconds(
-            lambda: algo._local_compute(machine), repeats
-        )
-        results[label] = algo.gather_result(machine)
-    assert np.array_equal(results["serial"], results["threaded"])
-    return {
-        "n": n,
-        "P": partition.P,
-        "threads": threads,
-        "serial_seconds": timings["serial"],
-        "threaded_seconds": timings["threaded"],
-        "threaded_speedup": timings["serial"] / timings["threaded"],
-        "bitwise_identical": True,
-    }
+    machine = Machine(partition.P)
+    algo = ParallelSTTSV(partition, n)
+    algo.load(machine, tensor, x)
+    algo.run(machine)
+    seconds = median_seconds(lambda: algo._local_compute(machine), repeats)
+    assert np.allclose(algo.gather_result(machine), sttsv_packed(tensor, x))
+    return {"n": n, "P": partition.P, "serial_seconds": seconds}
 
 
 def main() -> None:
@@ -164,11 +149,11 @@ def main() -> None:
     if args.quick:
         seq = bench_sequential(n=60, s=8, repeats=3)
         hopm = bench_hopm(n=60, iterations=5, repeats=3)
-        local = bench_local_compute(n=60, threads=4, repeats=3)
+        local = bench_local_compute(n=60, repeats=3)
     else:
         seq = bench_sequential(n=200, s=16, repeats=7)
         hopm = bench_hopm(n=200, iterations=5, repeats=5)
-        local = bench_local_compute(n=120, threads=4, repeats=5)
+        local = bench_local_compute(n=120, repeats=5)
 
     try:
         commit = subprocess.run(
@@ -188,8 +173,6 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        # Thread-pool numbers are only meaningful relative to this: on
-        # a single-core host the threaded phase 2 cannot beat serial.
         "cpu_count": os.cpu_count(),
         "sequential": seq,
         "hopm": hopm,

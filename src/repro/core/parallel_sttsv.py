@@ -37,10 +37,8 @@ Two communication backends:
 
 from __future__ import annotations
 
-import contextvars
 import enum
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -52,38 +50,13 @@ from repro.core.schedule import ExchangeSchedule, build_exchange_schedule
 from repro.errors import ConfigurationError, MachineError
 from repro.machine.collectives import (
     all_to_all,
-    execute_rounds_fused,
+    execute_rounds_fused,  # noqa: F401 - perfbench/engine.py patches this name
     point_to_point_rounds,
-    schedule_point_to_point,
+    schedule_point_to_point,  # noqa: F401 - perfbench/engine.py patches this name
 )
 from repro.machine.machine import Machine
 from repro.tensor.blocks import extract_block
 from repro.tensor.packed import PackedSymmetricTensor
-
-#: Chunks the overlap pipeline splits each exchange phase into. Each
-#: chunk is one fused physical exchange; while chunk ``c+1`` moves in a
-#: background thread, the main thread scatters chunk ``c``'s deliveries
-#: and runs every tensor-block kernel whose row blocks are complete.
-#: More chunks → finer overlap but more per-exchange latency; 4 keeps
-#: the fused message count within ~4× of the single-batch optimum.
-PIPELINE_CHUNKS = 4
-
-
-def _chunk_bounds(n_rounds: int, n_chunks: int = PIPELINE_CHUNKS) -> List[Tuple[int, int]]:
-    """Split ``range(n_rounds)`` into up to ``n_chunks`` contiguous,
-    near-equal ``(lo, hi)`` index ranges."""
-    n_chunks = min(n_rounds, n_chunks)
-    if n_chunks <= 0:
-        return []
-    base, extra = divmod(n_rounds, n_chunks)
-    bounds = []
-    lo = 0
-    for chunk in range(n_chunks):
-        hi = lo + base + (1 if chunk < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
 
 class CommBackend(enum.Enum):
     """Communication realization of Algorithm 5's two exchange phases."""
@@ -129,14 +102,6 @@ class ParallelSTTSV:
         the shard replication that makes ``n' >= n``.
     backend:
         Communication realization (see :class:`CommBackend`).
-    local_threads:
-        When > 1, phase 2 dispatches the per-processor block kernels to
-        a thread pool of that many workers (capped at ``P``). The
-        simulated processors are independent in phase 2, so results are
-        bitwise identical to the serial path (tested); NumPy's
-        einsum/BLAS kernels release the GIL, so real speedup is
-        available for large blocks. Default ``None`` keeps the serial
-        loop.
 
     Examples
     --------
@@ -148,30 +113,15 @@ class ParallelSTTSV:
     (6, 30)
     """
 
-    #: Whether :meth:`run` may use the fused overlap pipeline. The
-    #: pipeline advances phase-2 compute block-by-block as exchanged
-    #: row blocks arrive, which requires the dense per-block storage of
-    #: this class; subclasses with different local storage/kernels
-    #: (:class:`~repro.core.sparse_parallel.SparseParallelSTTSV`) turn
-    #: it off and take the phased path — still fused at the
-    #: collectives layer, just not overlapped.
-    _pipeline_capable = True
-
     def __init__(
         self,
         partition: TetrahedralPartition,
         n: int,
         backend: CommBackend = CommBackend.POINT_TO_POINT,
-        local_threads: Optional[int] = None,
     ):
-        if local_threads is not None and local_threads < 1:
-            raise ConfigurationError(
-                f"local_threads must be >= 1, got {local_threads}"
-            )
         self.partition = partition
         self.backend = backend
         self.n = n
-        self.local_threads = local_threads
         replication = partition.steiner.point_replication()
         m = partition.m
         per_row = -(-n // m)  # ceil(n / m): minimal row-block size
@@ -294,8 +244,8 @@ class ParallelSTTSV:
     # -- phase 2: local compute ----------------------------------------------------------
 
     def _compute_processor(self, machine: Machine, p: int) -> None:
-        """Phase-2 work of one simulated processor (thread-safe: touches
-        only processor ``p``'s memory)."""
+        """Phase-2 work of one simulated processor (touches only
+        processor ``p``'s memory)."""
         proc = machine[p]
         x_full = proc.load("x_full")
         blocks = proc.load("tensor_blocks")
@@ -307,21 +257,8 @@ class ParallelSTTSV:
         proc.store("y_partial", y_partial)
 
     def _local_compute(self, machine: Machine) -> None:
-        threads = self.local_threads
-        if threads is not None and threads > 1 and machine.P > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(threads, machine.P)
-            ) as pool:
-                # list() re-raises any worker exception.
-                list(
-                    pool.map(
-                        lambda p: self._compute_processor(machine, p),
-                        range(machine.P),
-                    )
-                )
-        else:
-            for p in range(machine.P):
-                self._compute_processor(machine, p)
+        for p in range(machine.P):
+            self._compute_processor(machine, p)
 
     # -- phase 3: scatter-reduce y ----------------------------------------------------------
 
@@ -350,150 +287,6 @@ class ParallelSTTSV:
         for p in range(P):
             machine[p].store("y_shards", plan.reduce_y(p, received[p]))
 
-    # -- overlap pipeline ----------------------------------------------------------------------
-
-    def _compute_order(self, p: int) -> List[Tuple[Tuple[int, int, int], int]]:
-        """Processor ``p``'s tensor blocks in their canonical compute
-        order, each with the x-exchange round after which it is
-        computable (all three row blocks complete)."""
-        ready = self.exchange_plan.x_ready_round[p]
-        return [
-            (index, max(ready[index[0]], ready[index[1]], ready[index[2]]))
-            for index in self.partition.owned_blocks(p)
-        ]
-
-    def _advance_compute(
-        self,
-        cursors: List[int],
-        queues: List[List[Tuple[Tuple[int, int, int], int]]],
-        blocks: List[Dict[Tuple[int, int, int], np.ndarray]],
-        x_views: List[Dict[int, np.ndarray]],
-        y_partial: List[Dict[int, np.ndarray]],
-        completed_round: int,
-    ) -> None:
-        """Run every not-yet-computed tensor block whose inputs arrived.
-
-        Blocks advance strictly in their canonical per-processor order
-        (a prefix cursor), never by readiness alone — the accumulation
-        order into ``y_partial`` is what makes the pipelined result
-        bitwise identical to the phased one.
-        """
-        for p, queue in enumerate(queues):
-            cursor = cursors[p]
-            while cursor < len(queue) and queue[cursor][1] <= completed_round:
-                index = queue[cursor][0]
-                apply_block(index, blocks[p][index], x_views[p], y_partial[p])
-                cursor += 1
-            cursors[p] = cursor
-
-    def _run_pipelined(self, machine: Machine) -> None:
-        """Fused, overlapped execution of the three phases (DESIGN.md §11).
-
-        Each exchange phase's permutation rounds are split into
-        :data:`PIPELINE_CHUNKS` contiguous chunks, each executed as one
-        fused physical exchange on a single background thread (chunks
-        stay strictly ordered, so ledger pricing — labels, counts,
-        round order — is identical to unfused execution). While chunk
-        ``c+1`` is in flight the main thread scatters chunk ``c``'s
-        deliveries and advances phase-2 compute over the tensor blocks
-        whose row blocks are complete; the ``sttsv:local-compute`` span
-        then covers only the compute remainder. The y phase overlaps
-        the reduction of chunk ``c`` with the exchange of ``c+1``.
-        Deliveries, compute order, and float accumulation order all
-        match the phased path write-for-write, so results are bitwise
-        identical (tested).
-        """
-        P = machine.P
-        plan = self.exchange_plan
-        bounds = _chunk_bounds(len(self.schedule.rounds))
-        queues = [self._compute_order(p) for p in range(P)]
-        cursors = [0] * P
-        blocks = [machine[p].load("tensor_blocks") for p in range(P)]
-        y_partial: List[Dict[int, np.ndarray]] = [
-            {i: np.zeros(self.b) for i in self.partition.R[p]}
-            for p in range(P)
-        ]
-
-        with machine.instrument.span("sttsv:exchange-x"):
-            for p in range(P):
-                plan.stage_x(p, machine[p].load("x_shards"))
-            labeled = schedule_point_to_point(
-                self.schedule.rounds,
-                lambda src, dst: self._x_payload(machine, src, dst),
-                tag="x-exchange",
-            )
-            for p in range(P):
-                plan.seed_x(p)
-            x_views = [plan.x_block_views(p) for p in range(P)]
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                futures = [
-                    pool.submit(
-                        contextvars.copy_context().run,
-                        execute_rounds_fused,
-                        machine,
-                        labeled[lo:hi],
-                        "x-exchange",
-                    )
-                    for lo, hi in bounds
-                ]
-                for (lo, hi), future in zip(bounds, futures):
-                    for (_, transfers), delivered in zip(
-                        labeled[lo:hi], future.result()
-                    ):
-                        for transfer, payload in zip(transfers, delivered):
-                            plan.scatter_x(
-                                transfer.dest, transfer.source, payload
-                            )
-                    self._advance_compute(
-                        cursors, queues, blocks, x_views, y_partial, hi - 1
-                    )
-            for p in range(P):
-                machine[p].store("x_full", x_views[p])
-
-        with machine.instrument.span("sttsv:local-compute"):
-            self._advance_compute(
-                cursors,
-                queues,
-                blocks,
-                x_views,
-                y_partial,
-                len(self.schedule.rounds) - 1,
-            )
-            for p in range(P):
-                machine[p].store("y_partial", y_partial[p])
-
-        with machine.instrument.span("sttsv:exchange-y"):
-            for p in range(P):
-                plan.stage_y(p, y_partial[p])
-            labeled_y = schedule_point_to_point(
-                self.schedule.rounds,
-                lambda src, dst: self._y_payload(machine, src, dst),
-                tag="y-exchange",
-            )
-            for p in range(P):
-                plan.seed_y(p)
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                futures = [
-                    pool.submit(
-                        contextvars.copy_context().run,
-                        execute_rounds_fused,
-                        machine,
-                        labeled_y[lo:hi],
-                        "y-exchange",
-                    )
-                    for lo, hi in bounds
-                ]
-                for (lo, hi), future in zip(bounds, futures):
-                    for (_, transfers), delivered in zip(
-                        labeled_y[lo:hi], future.result()
-                    ):
-                        for transfer, payload in zip(transfers, delivered):
-                            plan.accumulate_y(
-                                transfer.dest, transfer.source, payload
-                            )
-            for p in range(P):
-                machine[p].store("y_shards", plan.finish_y(p))
-
     # -- driver --------------------------------------------------------------------------------
 
     def run(self, machine: Machine) -> None:
@@ -508,23 +301,10 @@ class ParallelSTTSV:
         communication round it executes is stamped with the trace ids
         of the request (or CLI run) that caused it.
 
-        With the point-to-point backend on a fusion-enabled machine
-        (the defaults), execution goes through the fused overlap
-        pipeline (:meth:`_run_pipelined`): the ``sttsv:exchange-x``
-        span then also covers the portion of phase-2 compute that
-        overlapped the exchange, and ``sttsv:local-compute`` covers the
-        remainder. Results and ledger are bitwise identical to the
-        phased path.
+        On a fusion-enabled machine each exchange phase is one fused
+        physical exchange (DESIGN.md §11).
         """
         with machine.instrument.span("sttsv:run"):
-            if (
-                self._pipeline_capable
-                and self.backend is CommBackend.POINT_TO_POINT
-                and machine.fusion
-                and (self.local_threads is None or self.local_threads <= 1)
-            ):
-                self._run_pipelined(machine)
-                return
             with machine.instrument.span("sttsv:exchange-x"):
                 self._exchange_x(machine)
             with machine.instrument.span("sttsv:local-compute"):

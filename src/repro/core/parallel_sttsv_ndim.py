@@ -239,8 +239,7 @@ class ParallelSTTSVm:
         """Execute the three phases; ``y`` stays distributed as shards.
 
         Communication is fused per round batch whenever the machine has
-        fusion enabled (the collectives layer handles it); there is no
-        compute/comm overlap pipeline at order 4 yet.
+        fusion enabled (the collectives layer handles it).
         """
         with machine.instrument.span("sttsv:run"):
             with machine.instrument.span("sttsv:exchange-x"):

@@ -43,12 +43,6 @@ class SparseParallelSTTSV(ParallelSTTSV):
     and the local kernel differ.
     """
 
-    # The overlap pipeline needs dense per-block storage to advance
-    # compute block-by-block; the sparse kernel is one pass over local
-    # entries, so this variant runs phased (exchanges still fuse at the
-    # collectives layer).
-    _pipeline_capable = False
-
     def load(
         self, machine: Machine, tensor: SparseSymmetricTensor, x: np.ndarray
     ) -> None:

@@ -247,8 +247,8 @@ def execute_rounds_fused(
     """
     rounds = [(label, list(transfers)) for label, transfers in rounds]
     flat = [t for _, transfers in rounds for t in transfers]
-    plan = FusionPlan(flat)
-    if not machine.fusion or not plan.fusible or not flat:
+    plan = FusionPlan(flat) if machine.fusion and flat else None
+    if plan is None or not plan.fusible:
         return [
             execute_round(machine, label, tag, transfers, record_empty)
             for label, transfers in rounds
@@ -350,13 +350,7 @@ def all_to_all(
                 continue
             transfers.append(Transfer(src, dst, payload))
         labeled.append((f"{tag}:shift{shift}", transfers))
-    if machine.fusion:
-        delivered_rounds = execute_rounds_fused(machine, labeled, tag)
-    else:
-        delivered_rounds = [
-            execute_round(machine, label, tag, transfers)
-            for label, transfers in labeled
-        ]
+    delivered_rounds = execute_rounds_fused(machine, labeled, tag)
     for (_, transfers), delivered in zip(labeled, delivered_rounds):
         for transfer, array in zip(transfers, delivered):
             recv[transfer.dest][transfer.source] = array
@@ -399,13 +393,7 @@ def point_to_point_rounds(
     P = machine.P
     recv: List[Dict[int, np.ndarray]] = [{} for _ in range(P)]
     labeled = schedule_point_to_point(rounds, payload_for, tag=tag)
-    if machine.fusion:
-        delivered_rounds = execute_rounds_fused(machine, labeled, tag)
-    else:
-        delivered_rounds = [
-            execute_round(machine, label, tag, transfers)
-            for label, transfers in labeled
-        ]
+    delivered_rounds = execute_rounds_fused(machine, labeled, tag)
     for (_, transfers), delivered in zip(labeled, delivered_rounds):
         for transfer, array in zip(transfers, delivered):
             recv[transfer.dest][transfer.source] = array
@@ -419,12 +407,9 @@ def schedule_point_to_point(
 ) -> List[LabeledRound]:
     """Validate and materialize a permutation-round schedule.
 
-    Shared front half of :func:`point_to_point_rounds`, exposed so
-    pipelined callers (the STTSV overlap pipeline) can build the full
-    labeled schedule once, then execute it in chunks through
-    :func:`execute_rounds_fused` while overlapping compute. Labels are
-    exactly the ones unfused execution would use (``{tag}:round{i}``),
-    so the ledger fingerprint is identical either way.
+    The front half of :func:`point_to_point_rounds`: every round
+    becomes one labeled transfer list (``{tag}:round{i}``), the labels
+    the ledger is priced under whether or not the batch is fused.
     """
     labeled: List[LabeledRound] = []
     for index, round_map in enumerate(rounds):

@@ -8,12 +8,12 @@ strategy, batch width — price each one from its exact predicted ledger
 (:mod:`repro.planner.calibration`), and return the argmin with the
 full priced table.
 
-The interesting selection is the paper's own tradeoff: the All-to-All
-variant moves ~2× the point-to-point bandwidth but fuses each phase
-into a single physical exchange, so it wins exactly when α dominates β
-— inflate α (a high-latency interconnect) and the argmin flips from
-point-to-point to All-to-All; inflate β (a thin pipe) and it flips
-back. Both flips are pinned by tests.
+For dense tensors fused point-to-point dominates: both variants run
+each phase as one fused exchange, and All-to-All moves ~2× the words.
+The α-vs-β tradeoff shows on the low-rank path, whose point-to-point
+ring never fuses: inflate α (a high-latency interconnect) and the
+argmin flips from point-to-point to All-to-All; inflate β (a thin
+pipe) and it flips back. Both flips are pinned by tests.
 
 Ties are broken deterministically: candidates are priced in a fixed
 enumeration order and sorting is stable, so equal-cost configurations

@@ -15,23 +15,22 @@ Schedule reconstruction mirrors the execution paths byte for byte:
 
 * **point-to-point** — the §7.2.2 permutation schedule; the payload
   ``src → dst`` in either exchange phase is one shard per shared row
-  block, ``|R_src ∩ R_dst| · shard`` words. With fusion on, execution
-  goes through the overlap pipeline, which packs each phase's rounds
-  into :data:`~repro.core.parallel_sttsv.PIPELINE_CHUNKS` contiguous
-  fused exchanges — reproduced here chunk for chunk, fusion headers
-  included.
+  block, ``|R_src ∩ R_dst| · shard`` words.
 * **all-to-all** — ``P − 1`` shift rounds per phase of one uniform
-  2-shard slot to every other processor; with fusion on, each phase is
-  one fused exchange. This is the paper's α-vs-β tradeoff in ledger
-  form: ~2× the point-to-point bandwidth, but 2 fused exchanges per
-  STTSV instead of ``2 · PIPELINE_CHUNKS``.
+  2-shard slot to every other processor.
+
+With fusion on, each phase of either variant is one fused exchange,
+reproduced here fusion headers included. Both variants then cost 2
+fused exchanges per STTSV, so dense All-to-All pays ~2× the
+point-to-point bandwidth for no latency saving. The α-vs-β tradeoff
+survives for the low-rank path (:func:`predicted_symk_ledger`), whose
+point-to-point ring never fuses.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.core.parallel_sttsv import PIPELINE_CHUNKS, _chunk_bounds
 from repro.core.partition import TetrahedralPartition
 from repro.core.schedule import build_exchange_schedule
 from repro.errors import ConfigurationError
@@ -93,44 +92,36 @@ def _record_phase(
     tag: str,
     rounds: Sequence[List[_Sched]],
     labels: Sequence[str],
-    fused_batches: Sequence[Tuple[int, int]],
+    fused: bool,
 ) -> None:
-    """Price one phase's rounds and its fused batches into ``ledger``.
+    """Price one phase's rounds into ``ledger``; with ``fused``, the
+    whole phase is one fused physical exchange.
 
-    ``fused_batches`` lists ``(lo, hi)`` round-index ranges, each
-    executed as one fused physical exchange (empty for unfused runs).
-    Pricing interleaves exactly like execution does — each batch's
-    rounds are priced, then its fusion recorded — so the per-round
-    ``fused`` tags land on the right rounds.
+    Pricing follows execution: the rounds are priced, then the fusion
+    is recorded, so the per-round ``fused`` tags land on them.
     """
-
-    def price(lo: int, hi: int) -> None:
-        for label, sched in zip(labels[lo:hi], rounds[lo:hi]):
-            ledger.begin_round(label)
-            for src, dst, words in sched:
-                if words:
-                    ledger.record(Message(src, dst, words, tag))
-            ledger.end_round()
-
-    if not fused_batches:
-        price(0, len(rounds))
+    for label, sched in zip(labels, rounds):
+        ledger.begin_round(label)
+        for src, dst, words in sched:
+            if words:
+                ledger.record(Message(src, dst, words, tag))
+        ledger.end_round()
+    if not fused:
         return
-    for lo, hi in fused_batches:
-        price(lo, hi)
-        batch = [s for sched in rounds[lo:hi] for s in sched if s[2]]
-        destinations = {dst for _, dst, _ in batch}
-        logical_words = sum(words for _, _, words in batch)
-        ledger.record_fusion(
-            physical_messages=len(destinations),
-            physical_words=(
-                logical_words
-                + _PREAMBLE_WORDS * len(destinations)
-                + _MEMBER_HEADER_WORDS * len(batch)
-            ),
-            logical_rounds=hi - lo,
-            logical_messages=len(batch),
-            logical_words=logical_words,
-        )
+    batch = [s for sched in rounds for s in sched if s[2]]
+    destinations = {dst for _, dst, _ in batch}
+    logical_words = sum(words for _, _, words in batch)
+    ledger.record_fusion(
+        physical_messages=len(destinations),
+        physical_words=(
+            logical_words
+            + _PREAMBLE_WORDS * len(destinations)
+            + _MEMBER_HEADER_WORDS * len(batch)
+        ),
+        logical_rounds=len(rounds),
+        logical_messages=len(batch),
+        logical_words=logical_words,
+    )
 
 
 def predicted_ledger(
@@ -156,15 +147,10 @@ def predicted_ledger(
         if variant == "point-to-point":
             rounds = _p2p_rounds(partition, shard)
             labels = [f"{tag}:round{i}" for i in range(len(rounds))]
-            # The overlap pipeline executes each phase in
-            # PIPELINE_CHUNKS contiguous fused exchanges.
-            batches = _chunk_bounds(len(rounds), PIPELINE_CHUNKS) if fusion else []
         else:
             rounds = _a2a_rounds(partition.P, shard)
             labels = [f"{tag}:shift{s}" for s in range(1, partition.P)]
-            # all_to_all fuses the whole phase into one exchange.
-            batches = [(0, len(rounds))] if fusion else []
-        _record_phase(ledger, tag, rounds, labels, batches)
+        _record_phase(ledger, tag, rounds, labels, fusion)
     return ledger
 
 
@@ -209,15 +195,15 @@ def predicted_symk_ledger(
             for _ in range(P - 1)
         ]
         labels = [f"{tag}:step{step}" for step in range(P - 1)]
-        batches: List[Tuple[int, int]] = []
+        fused = False
     else:
         rounds = [
             [(src, (src + shift) % P, rank) for src in range(P)]
             for shift in range(1, P)
         ]
         labels = [f"{tag}:shift{shift}" for shift in range(1, P)]
-        batches = [(0, len(rounds))] if fusion else []
-    _record_phase(ledger, tag, rounds, labels, batches)
+        fused = fusion
+    _record_phase(ledger, tag, rounds, labels, fused)
     return ledger
 
 

@@ -172,6 +172,8 @@ class TestFusionEquivalence:
         assert ledger_f == ledger_u
         assert unfused["fused_rounds"] == 0
         assert fused["messages_fused"] < fused["messages_logical"]
+        # One fused exchange per phase, the same count as All-to-All.
+        assert fused["fused_rounds"] == 2
 
     def test_fused_shm_vs_unfused_simulated(self, partition_q2, shm_q2):
         n = 30

@@ -12,6 +12,7 @@ from repro.service.client import ServiceClient
 from repro.service.protocol import ErrorCode, ServiceError
 from repro.service.server import STTSVServer
 from repro.tensor.dense import random_symmetric
+from repro.tensor.symk import random_symk
 
 
 def _write_calibration(tmp_path, alpha, beta):
@@ -74,13 +75,17 @@ class TestAutoMode:
 
     def test_calibration_file_steers_variant(self, tmp_path):
         """The server's auto resolution follows the calibration file:
-        α-heavy constants pick All-to-All, β-heavy pick p2p.
+        for a low-rank registration, α-heavy constants pick All-to-All
+        and β-heavy pick p2p.
 
-        q=3 deliberately: that is where the paper's bandwidth
-        asymmetry shows (at q=2 with small n, fusion headers dominate
-        the tiny payloads and All-to-All moves fewer physical words)."""
-        n = 30
-        tensor = random_symmetric(n, seed=5)
+        The steering is pinned on ``symk`` because its point-to-point
+        ring never fuses (P − 1 exchanges) while All-to-All packs into
+        one fused exchange. A dense registration resolves to p2p under
+        both calibrations: its fused p2p phase is one exchange too, so
+        it matches All-to-All on latency and wins on words."""
+        n = 60
+        dense = random_symmetric(30, seed=5)
+        low_rank = random_symk(n, 4, seed=5)
         for alpha, beta, expected in (
             (1e-2, 1e-9, "all-to-all"),
             (1e-9, 1e-3, "point-to-point"),
@@ -90,13 +95,17 @@ class TestAutoMode:
                 host, port = server.address
                 with ServiceClient(host, port) as client:
                     reply = client.register(
-                        "steered", tensor, q=3, variant="auto"
+                        "dense", dense, q=3, variant="auto"
+                    )
+                    assert reply["variant"] == "point-to-point"
+                    reply = client.register_symk(
+                        "steered", low_rank, q=2, variant="auto"
                     )
                     assert reply["variant"] == expected
                     x = np.random.default_rng(6).normal(size=n)
                     y = client.apply("steered", x, mode="parallel")
                     assert np.allclose(
-                        y, sttsv_packed(tensor, x), rtol=1e-10, atol=1e-10
+                        y, low_rank.ttsv(x), rtol=1e-10, atol=1e-10
                     )
 
     def test_explicit_variant_is_kept_and_reported(self):

@@ -72,10 +72,23 @@ class TestPlan:
         assert "session config:" in out
 
     def test_alpha_override_flips_to_all_to_all(self, capsys):
+        # Dense: fused point-to-point and All-to-All both cost 2 fused
+        # exchanges, so high latency cannot flip the dense variant.
         assert main(
             ["plan", "--q", "3", "--alpha", "1e-2", "--fused"]
         ) == 0
         out = capsys.readouterr().out
+        assert "variant=point-to-point" in out
+        # Low-rank: the unfused point-to-point ring loses to
+        # All-to-All's single fused exchange.
+        assert main(
+            [
+                "plan", "--q", "2", "--n", "60", "--rank", "4",
+                "--alpha", "1e-2", "--fused",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "strategy=symk" in out
         assert "variant=all-to-all" in out
 
     def test_beta_override_flips_to_point_to_point(self, capsys):

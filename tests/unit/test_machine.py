@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import MachineError
+from repro.machine.cost import CostModel
 from repro.machine.ledger import CommunicationLedger, RoundRecord
 from repro.machine.machine import Machine
 from repro.machine.message import Message, word_count
 from repro.machine.processor import Processor
-from repro.machine.topology import CostModel
 
 
 class TestMessage:

@@ -233,15 +233,25 @@ class TestSymkPlanning:
 
 class TestPlanSelection:
     def test_alpha_inflated_prefers_all_to_all(self):
-        # High latency: All-to-All's 2 fused exchanges beat the
-        # pipeline's 2·PIPELINE_CHUNKS despite ~2× the bandwidth.
+        from repro.planner import auto_symk_config
+
+        calibration = _calibration(alpha=1e-2, beta=1e-9)
+        # Dense: a fused point-to-point phase is one exchange, like
+        # All-to-All's, so both pay 2 fused exchanges per STTSV and
+        # point-to-point's fewer words win even at high latency.
         decision = plan_sttsv(
             30,
             qs=(3,),
-            calibration=_calibration(alpha=1e-2, beta=1e-9),
+            calibration=calibration,
             fusion_options=(True,),
         )
-        assert decision.best_parallel.candidate.variant == "all-to-all"
+        assert (
+            decision.best_parallel.candidate.variant == "point-to-point"
+        )
+        # Low-rank: the point-to-point ring never fuses (P − 1 steps),
+        # while All-to-All packs its exchange into one fused exchange.
+        config = auto_symk_config(60, 4, 10, calibration=calibration)
+        assert config["variant"] == "all-to-all"
 
     def test_beta_inflated_prefers_point_to_point(self):
         # Thin pipe: point-to-point's lower word volume wins back.

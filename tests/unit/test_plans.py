@@ -18,7 +18,6 @@ from repro.core.plans import (
     invalidate_plan,
     sequential_plan,
 )
-from repro.core.sparse_parallel import SparseParallelSTTSV
 from repro.core.sttsv_sequential import (
     sttsv,
     sttsv_packed,
@@ -28,7 +27,6 @@ from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.tensor.dense import random_symmetric
 from repro.tensor.packed import PackedSymmetricTensor
-from repro.tensor.sparse import SparseSymmetricTensor
 
 
 class TestSequentialPlanCorrectness:
@@ -176,41 +174,6 @@ class TestPlanCache:
         forced = sequential_plan(tensor, strategy="bincount")
         assert forced.strategy == "bincount"
         assert forced is not auto
-
-
-class TestThreadedLocalCompute:
-    def test_threaded_bitwise_identical_dense_q2(self, partition_q2, rng):
-        n = 30
-        tensor = random_symmetric(n, seed=14)
-        x = rng.normal(size=n)
-        results = []
-        for threads in (None, 4):
-            machine = Machine(partition_q2.P)
-            algo = ParallelSTTSV(partition_q2, n, local_threads=threads)
-            algo.load(machine, tensor, x)
-            algo.run(machine)
-            results.append(algo.gather_result(machine))
-        assert np.array_equal(results[0], results[1])
-
-    def test_threaded_bitwise_identical_sparse_q2(self, partition_q2, rng):
-        n = 30
-        entries = {(5, 3, 2): 1.5, (10, 10, 10): -2.0, (29, 7, 7): 0.25}
-        tensor = SparseSymmetricTensor.from_entries(n, entries)
-        x = rng.normal(size=n)
-        results = []
-        for threads in (None, 3):
-            machine = Machine(partition_q2.P)
-            algo = SparseParallelSTTSV(
-                partition_q2, n, local_threads=threads
-            )
-            algo.load(machine, tensor, x)
-            algo.run(machine)
-            results.append(algo.gather_result(machine))
-        assert np.array_equal(results[0], results[1])
-
-    def test_invalid_thread_count_rejected(self, partition_q2):
-        with pytest.raises(ConfigurationError):
-            ParallelSTTSV(partition_q2, 30, local_threads=0)
 
 
 class TestExchangePlan:
